@@ -33,6 +33,12 @@ cargo build --release
 echo "== tier-1: test suite =="
 cargo test -q
 
+echo "== benchmark package: build + tests =="
+# perfbench/ is a workspace of its own, so the commands above never
+# compile it; a library API change that breaks the benchmark would
+# otherwise surface only when the benchmark runs.
+CARGO_TARGET_DIR=.bench_build cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "== asm frontend: assemble, round-trip, diagnostic drift =="
 # Every shipped .asm file must assemble from its on-disk text (the builtin
 # copies are embedded at compile time; this catches a drifted working
@@ -138,10 +144,13 @@ echo "== streaming smoke (bounded memory) =="
 # The streamed pipeline must survive an address-space budget that the
 # materializing path cannot: expr at scale 16 materializes a ~53 MiB
 # trace (doubled again inside the emulator's growth pattern and the
-# analysis verdict arrays), while the streamed path retains at most two
-# 65536-record epochs (~5 MiB). Measured floors: the materializing run
-# aborts below ~256 MiB of address space, the streamed run survives
-# down to 24 MiB — so a 128 MiB budget has 2x margin on both sides.
+# analysis verdict arrays), while the streamed path retains one
+# 65536-record epoch of trace (2.5 MiB) plus the analysis pass's
+# per-epoch scratch and verdict vector. Measured floors: the
+# materializing run aborts below ~256 MiB of address space, the streamed
+# run survives down to ~13 MiB (set by the analysis pass and the binary,
+# not by the pipeline's trace window) — so a 128 MiB budget has 2x
+# margin on both sides.
 STREAM_VM_KB=131072
 DIDE=./target/release/dide
 ( ulimit -v "${STREAM_VM_KB}"; "${DIDE}" run expr --scale 16 --stream > /dev/null ) \

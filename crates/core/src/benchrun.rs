@@ -101,7 +101,7 @@ const REGRESSION_FLOOR_MS: u128 = 5;
 
 /// Peak-memory growth factor above which a streamed enrollment fails the
 /// regression check. Unlike wall-clock, `mem_peak_bytes` is deterministic
-/// (resident chunks x epoch bytes), so any growth is structural — the
+/// (ring or epoch capacity x record bytes), so any growth is structural — the
 /// factor only absorbs intentional epoch retuning, not noise.
 const MEM_REGRESSION_FACTOR: f64 = 2.0;
 
@@ -716,7 +716,7 @@ pub fn parse_stream_baseline(json: &str) -> Vec<StreamBaselineEntry> {
 
 /// Compares each streamed enrollment's peak memory against the baseline.
 ///
-/// Peak resident bytes are deterministic (resident chunks x epoch bytes),
+/// Peak resident bytes are deterministic (ring capacity x record bytes),
 /// so any growth beyond [`MEM_REGRESSION_FACTOR`] is a structural change
 /// to the streaming window — no noise floor applies. Enrollments without a
 /// baseline entry are reported but never fail.
@@ -1566,8 +1566,8 @@ mod tests {
         assert_eq!(s.materialized_bytes, s.trace_len * std::mem::size_of::<DynInst>() as u64);
         assert!(s.trace_len as usize > 2 * DEFAULT_EPOCH_LEN, "expr@4 spans several epochs");
         assert!(
-            s.mem_peak_bytes <= 2 * epoch_bytes,
-            "peak retained trace memory must stay within two epochs (got {} bytes)",
+            s.mem_peak_bytes <= epoch_bytes,
+            "peak retained trace memory must stay within one epoch (got {} bytes)",
             s.mem_peak_bytes
         );
         assert!(s.mem_ratio() > 1.0, "streaming must beat materializing at this scale");

@@ -1,15 +1,15 @@
 //! The architectural interpreter.
 //!
-//! Two consumption models share one stepping core:
+//! Three consumption models share one stepping core:
 //!
 //! * [`Emulator::run`] — execute to `halt` and materialize the full
 //!   [`Trace`] (the original whole-trace path);
-//! * [`Emulator::run_streamed`] / [`TraceStream`] — execute in fixed-size
-//!   *epochs* of [`DynInst`] records, handing each epoch to the consumer
-//!   and reusing the buffers, so peak retained trace memory is bounded by
-//!   a few epochs regardless of trace length.
-
-use std::collections::VecDeque;
+//! * [`Emulator::run_streamed`] — execute in fixed-size *epochs* of
+//!   [`DynInst`] records, handing each epoch to the consumer and reusing
+//!   one buffer, so peak retained trace memory is one epoch regardless of
+//!   trace length;
+//! * [`TraceStream`] — pull records on demand into a ring that holds the
+//!   consumer's sliding window, one epoch unless the window outgrows it.
 
 use dide_isa::{BranchCond, Inst, OpcodeKind, Program, Reg, STACK_BASE};
 
@@ -152,10 +152,11 @@ impl<'p> Emulator<'p> {
         }
     }
 
-    /// Executes up to `max` further instructions, appending one record per
-    /// retired instruction to `out`. Returns `true` once the program has
-    /// halted (the `halt` record itself is appended first).
-    fn fill(&mut self, out: &mut Vec<DynInst>, max: usize) -> Result<bool, EmuError> {
+    /// Executes up to `max` further instructions, handing one record per
+    /// retired instruction to `sink`. Returns `true` once the program has
+    /// halted (the `halt` record itself is handed over first).
+    #[inline]
+    fn fill(&mut self, max: usize, mut sink: impl FnMut(DynInst)) -> Result<bool, EmuError> {
         debug_assert!(!self.halted, "fill called after halt");
         let len = self.program.len() as u64;
         for _ in 0..max {
@@ -243,7 +244,7 @@ impl<'p> Emulator<'p> {
                 OpcodeKind::Nop => {}
             }
 
-            out.push(DynInst::new(seq, pc, inst, next, taken, mem, result));
+            sink(DynInst::new(seq, pc, inst, next, taken, mem, result));
             self.steps += 1;
 
             if halted {
@@ -263,7 +264,7 @@ impl<'p> Emulator<'p> {
     /// guard region, or exhaustion of the configured step limit.
     pub fn run(mut self) -> Result<Trace, EmuError> {
         let mut records: Vec<DynInst> = Vec::new();
-        while !self.fill(&mut records, usize::MAX)? {}
+        while !self.fill(usize::MAX, |r| records.push(r))? {}
         Ok(Trace::from_parts(self.program.clone(), records, self.outputs))
     }
 
@@ -298,7 +299,7 @@ impl<'p> Emulator<'p> {
         loop {
             chunk.base = self.steps;
             chunk.records.clear();
-            let halted = self.fill(&mut chunk.records, epoch_len)?;
+            let halted = self.fill(epoch_len, |r| chunk.records.push(r))?;
             chunk.last = halted;
             epochs += 1;
             consumer(&chunk);
@@ -313,9 +314,14 @@ impl<'p> Emulator<'p> {
 /// access to a *sliding window* of recent records (the pipeline: fetch
 /// reads ahead while the ROB still references older sequence numbers).
 ///
-/// Chunks are produced on demand by [`TraceStream::get`] and recycled by
-/// [`TraceStream::release_before`]; released buffers are reused for new
-/// epochs, so peak retained memory is `peak_resident_chunks()` epochs.
+/// Records live in one power-of-two ring indexed by `seq & mask`, which
+/// the emulator fills in place when [`TraceStream::get`] reads past the
+/// last produced record. [`TraceStream::release_before`] frees the slots
+/// behind the consumer's oldest live record for reuse. The ring starts at
+/// `epoch_len.next_power_of_two()` records and doubles only when the
+/// unreleased window fills it, so a consumer whose window stays under one
+/// epoch retains one epoch of records for the whole run, whatever the
+/// trace length.
 ///
 /// The stream is for programs already known to emulate cleanly (the
 /// analysis pass runs first and surfaces any [`EmuError`]); a mid-stream
@@ -324,16 +330,13 @@ impl<'p> Emulator<'p> {
 pub struct TraceStream<'p> {
     emu: Emulator<'p>,
     epoch_len: usize,
-    /// Live window, oldest chunk first. Every chunk base is a multiple of
-    /// `epoch_len`, so lookup is pure arithmetic.
-    window: VecDeque<TraceChunk>,
-    /// Recycled chunk buffers awaiting reuse.
-    spare: Vec<Vec<DynInst>>,
-    /// Total records produced so far (== `emu.steps`).
-    produced: u64,
-    /// Known total trace length, once the program has halted.
-    total: Option<u64>,
-    peak_resident: usize,
+    /// Record `seq` sits at `ring[seq & mask]` while it is live. The ring
+    /// is filled by pushing on its first lap, so `ring.len()` reaches the
+    /// capacity only once that many records have been produced.
+    ring: Vec<DynInst>,
+    mask: u64,
+    /// Records before this sequence number have been released.
+    released: u64,
 }
 
 impl<'p> TraceStream<'p> {
@@ -359,14 +362,13 @@ impl<'p> TraceStream<'p> {
         epoch_len: usize,
     ) -> TraceStream<'p> {
         assert!(epoch_len > 0, "epoch length must be positive");
+        let capacity = epoch_len.next_power_of_two();
         TraceStream {
             emu: Emulator::with_config(program, config),
             epoch_len,
-            window: VecDeque::new(),
-            spare: Vec::new(),
-            produced: 0,
-            total: None,
-            peak_resident: 0,
+            ring: Vec::with_capacity(capacity),
+            mask: capacity as u64 - 1,
+            released: 0,
         }
     }
 
@@ -382,89 +384,100 @@ impl<'p> TraceStream<'p> {
         self.epoch_len
     }
 
-    fn produce_chunk(&mut self) {
-        debug_assert!(self.total.is_none());
-        let mut records = self.spare.pop().unwrap_or_else(|| Vec::with_capacity(self.epoch_len));
-        records.clear();
-        let base = self.produced;
-        let halted = self
-            .emu
-            .fill(&mut records, self.epoch_len)
-            .expect("streamed program emulates cleanly (checked by the analysis pass)");
-        self.produced += records.len() as u64;
-        self.window.push_back(TraceChunk { base, records, last: halted });
-        if halted {
-            self.total = Some(self.produced);
-        }
-        self.peak_resident = self.peak_resident.max(self.window.len() + self.spare.len());
+    /// Records produced so far.
+    #[inline]
+    fn produced(&self) -> u64 {
+        self.emu.steps
     }
 
-    /// The record with sequence number `seq`, producing further epochs on
+    /// Ring capacity in records (a power of two).
+    fn capacity(&self) -> u64 {
+        self.mask + 1
+    }
+
+    /// Emulates into every free ring slot, doubling the ring first when
+    /// the unreleased window fills it.
+    fn produce(&mut self) {
+        debug_assert!(!self.emu.halted);
+        if self.produced() - self.released == self.capacity() {
+            // Every slot of the full ring holds a live record. Appending a
+            // copy of the ring puts each record at both `seq & mask` and
+            // `(seq & mask) + capacity`, one of which is its slot under the
+            // doubled mask; the other copy is a free slot.
+            self.ring.extend_from_within(..);
+            self.mask = 2 * self.mask + 1;
+        }
+        let room = self.capacity() - (self.produced() - self.released);
+        let (ring, mask) = (&mut self.ring, self.mask);
+        self.emu
+            .fill(room as usize, |record| {
+                let slot = (record.seq & mask) as usize;
+                if slot < ring.len() {
+                    ring[slot] = record;
+                } else {
+                    ring.push(record);
+                }
+            })
+            .expect("streamed program emulates cleanly (checked by the analysis pass)");
+    }
+
+    /// The record with sequence number `seq`, producing further records on
     /// demand; `None` once `seq` is at or past the end of the trace.
     ///
     /// # Panics
     ///
-    /// Panics if `seq` falls before the current window (already released)
-    /// or the program fails to emulate.
+    /// Panics if `seq` was already released, or the program fails to
+    /// emulate.
+    #[inline]
     pub fn get(&mut self, seq: u64) -> Option<DynInst> {
-        while seq >= self.produced && self.total.is_none() {
-            self.produce_chunk();
+        // One unsigned compare covers both window bounds: a released `seq`
+        // wraps to a huge offset.
+        if seq.wrapping_sub(self.released) < self.produced() - self.released {
+            return Some(self.ring[(seq & self.mask) as usize]);
         }
-        if seq >= self.produced {
-            return None;
-        }
-        let first = self.window.front().expect("window holds every unreleased produced record");
-        assert!(
-            seq >= first.base,
-            "record {seq} was already released (window starts at {})",
-            first.base
-        );
-        let chunk = &self.window[((seq - first.base) / self.epoch_len as u64) as usize];
-        Some(chunk.records[(seq - chunk.base) as usize])
+        self.get_outside_window(seq)
     }
 
-    /// Whether `pos` is past the last record of the trace (producing epochs
-    /// as needed to decide).
+    #[cold]
+    #[inline(never)]
+    fn get_outside_window(&mut self, seq: u64) -> Option<DynInst> {
+        assert!(
+            seq >= self.released,
+            "record {seq} was already released (window starts at {})",
+            self.released
+        );
+        while seq >= self.produced() && !self.emu.halted {
+            self.produce();
+        }
+        (seq < self.produced()).then(|| self.ring[(seq & self.mask) as usize])
+    }
+
+    /// Whether `pos` is past the last record of the trace (producing
+    /// records as needed to decide).
+    #[inline]
     pub fn end_reached(&mut self, pos: u64) -> bool {
         self.get(pos).is_none()
     }
 
-    /// Recycles every chunk that lies entirely before `seq`; their buffers
-    /// are reused for future epochs.
+    /// Tells the stream no record before `seq` will be read again; their
+    /// slots are reused for future records.
+    #[inline]
     pub fn release_before(&mut self, seq: u64) {
-        while let Some(front) = self.window.front() {
-            if front.end() > seq {
-                break;
-            }
-            let chunk = self.window.pop_front().expect("front exists");
-            self.spare.push(chunk.records);
-        }
+        self.released = self.released.max(seq.min(self.produced()));
     }
 
-    /// Chunks currently resident (live window plus recycled spares).
-    #[must_use]
-    pub fn resident_chunks(&self) -> usize {
-        self.window.len() + self.spare.len()
-    }
-
-    /// High-water mark of resident chunks over the stream's lifetime.
-    #[must_use]
-    pub fn peak_resident_chunks(&self) -> usize {
-        self.peak_resident
-    }
-
-    /// High-water mark of retained trace bytes: resident chunks times the
-    /// epoch buffer size. Deterministic model-level accounting (buffer
-    /// capacity, not OS RSS), comparable across runs.
+    /// High-water mark of retained trace bytes: the ring's capacity (which
+    /// never shrinks) times the record size. Deterministic model-level
+    /// accounting (buffer capacity, not OS RSS), comparable across runs.
     #[must_use]
     pub fn peak_resident_bytes(&self) -> u64 {
-        self.peak_resident as u64 * self.epoch_len as u64 * std::mem::size_of::<DynInst>() as u64
+        self.capacity() * std::mem::size_of::<DynInst>() as u64
     }
 
-    /// Total trace length, once known (the final epoch has been produced).
+    /// Total trace length, once known (the final record has been produced).
     #[must_use]
     pub fn total_len(&self) -> Option<u64> {
-        self.total
+        self.emu.halted.then_some(self.emu.steps)
     }
 
     /// Values written by `out` so far; complete once [`TraceStream::total_len`]
@@ -719,30 +732,41 @@ mod tests {
 
     #[test]
     fn trace_stream_random_access_and_recycling() {
+        // Walk forward like the pipeline: read ahead, release `lag` records
+        // behind. Lags under one epoch keep the ring at one epoch rounded
+        // up to a power of two; a lag over one epoch forces it to grow.
         let p = looping_program(300);
         let whole = Emulator::new(&p).run().unwrap();
-        let mut stream = TraceStream::new(&p, 64);
-        // Walk forward like the pipeline: read ahead a bit, release behind.
-        for seq in 0..whole.len() as u64 {
-            let r = stream.get(seq).expect("record exists");
-            assert_eq!(r, whole.records()[seq as usize]);
-            if seq >= 128 {
-                stream.release_before(seq - 128);
+        let n = whole.len();
+        let record_bytes = std::mem::size_of::<DynInst>() as u64;
+        for epoch_len in [1usize, 7, 64, n] {
+            for lag in [0usize, epoch_len / 2, epoch_len + 3, 2 * epoch_len + 100] {
+                let mut stream = TraceStream::new(&p, epoch_len);
+                for seq in 0..n as u64 {
+                    let r = stream.get(seq).expect("record exists");
+                    assert_eq!(r, whole.records()[seq as usize], "epoch {epoch_len} lag {lag}");
+                    stream.release_before(seq.saturating_sub(lag as u64));
+                }
+                assert!(stream.end_reached(n as u64));
+                assert_eq!(stream.total_len(), Some(n as u64));
+                assert_eq!(stream.outputs(), whole.outputs());
+                // A read of `seq` happens with `lag + 1` older records
+                // still live, so the ring needs `lag + 2` slots.
+                let capacity = epoch_len.max((lag + 2).min(n)).next_power_of_two() as u64;
+                assert_eq!(
+                    stream.peak_resident_bytes(),
+                    capacity * record_bytes,
+                    "epoch {epoch_len} lag {lag}"
+                );
+                if lag + 2 <= epoch_len.next_power_of_two() {
+                    assert_eq!(
+                        stream.peak_resident_bytes(),
+                        epoch_len.next_power_of_two() as u64 * record_bytes,
+                        "a window under one epoch must keep the ring at one epoch"
+                    );
+                }
             }
         }
-        assert!(stream.end_reached(whole.len() as u64));
-        assert_eq!(stream.total_len(), Some(whole.len() as u64));
-        assert_eq!(stream.outputs(), whole.outputs());
-        // The window never needed more than read-ahead + released slack.
-        assert!(
-            stream.peak_resident_chunks() <= 4,
-            "peak {} chunks for a 128-record window of 64-record epochs",
-            stream.peak_resident_chunks()
-        );
-        assert_eq!(
-            stream.peak_resident_bytes(),
-            stream.peak_resident_chunks() as u64 * 64 * std::mem::size_of::<DynInst>() as u64
-        );
     }
 
     #[test]

@@ -28,18 +28,17 @@
 //! cycle-identical to the unified backend by those pins.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use dide_analysis::Verdict;
-use dide_emu::PagedShadow;
 use dide_isa::{Program, Reg};
 use dide_mem::MemoryHierarchy;
 use dide_obs::EventKind;
-use dide_predictor::dead::{CfiDeadPredictor, DeadPredictor, OracleDeadPredictor, PredictInput};
+use dide_predictor::dead::PredictInput;
 use dide_predictor::future::CfSignature;
 
 use crate::config::{EliminationPolicy, PipelineConfig, SteerPolicy};
-use crate::core::{claim_store_bytes, take_eliminated_producer};
+use crate::elim::{Predictor, StoreShadow};
 use crate::frontend::Frontend;
 use crate::fu::{FuClass, FuPool};
 use crate::iq::{IqEntry, IssueQueue};
@@ -104,10 +103,10 @@ impl Visibility {
 /// unified loop exactly: remote wakeups + writeback, commit, issue,
 /// rename/dispatch, fetch, occupancy.
 #[allow(clippy::too_many_lines)]
-pub(crate) fn run_loop_clustered(
+pub(crate) fn run_loop_clustered<S: RecordSource>(
     cfg: &PipelineConfig,
     program: &Program,
-    mut source: RecordSource<'_, '_>,
+    mut source: S,
     verdicts: &[Verdict],
     mut events: Option<&mut dide_obs::EventTrace>,
 ) -> PipelineStats {
@@ -153,14 +152,9 @@ pub(crate) fn run_loop_clustered(
             })
         })
         .collect();
-    let mut predictor: Box<dyn DeadPredictor> = if cfg.dead.oracle {
-        Box::new(OracleDeadPredictor::from_verdicts(verdicts))
-    } else {
-        Box::new(CfiDeadPredictor::new(cfg.dead.predictor))
-    };
+    let mut predictor = Predictor::new(&cfg.dead, verdicts);
     let mut completions = CompletionQueue::new();
-    let mut eliminated_stores: HashSet<u64> = HashSet::new();
-    let mut store_shadow: PagedShadow<u64> = PagedShadow::new();
+    let mut store_shadow = StoreShadow::default();
     let mut vis = Visibility::new(n, cfg.phys_regs, Reg::COUNT);
     let mut remote: BinaryHeap<RemoteWakeup> = BinaryHeap::new();
     let mut rename_stalled_until = 0u64;
@@ -417,9 +411,9 @@ pub(crate) fn run_loop_clustered(
                             }
                         }
                     }
-                    if is_load && !eliminated_stores.is_empty() {
+                    if is_load && store_shadow.has_eliminated() {
                         let mem = r.mem().expect("loads carry an access");
-                        if take_eliminated_producer(&store_shadow, &mut eliminated_stores, mem) {
+                        if store_shadow.take_eliminated_producer(mem) {
                             stats.dead_violations += 1;
                             if let Some(tr) = events.as_deref_mut() {
                                 tr.record(now, EventKind::Violation { seq });
@@ -445,11 +439,10 @@ pub(crate) fn run_loop_clustered(
                         stats.savings.dcache_accesses_saved += 1;
                     }
                     if is_store {
-                        eliminated_stores.insert(seq);
-                        claim_store_bytes(
-                            &mut store_shadow,
+                        store_shadow.claim_store_bytes(
                             seq,
                             r.mem().expect("stores carry an access"),
+                            true,
                         );
                     }
                     if let Some(tr) = events.as_deref_mut() {
@@ -530,7 +523,7 @@ pub(crate) fn run_loop_clustered(
                     let mem = r.mem().expect("stores carry an access");
                     lsq.push_store(seq, mem);
                     if track_stores {
-                        claim_store_bytes(&mut store_shadow, seq, mem);
+                        store_shadow.claim_store_bytes(seq, mem, false);
                     }
                 }
                 // Readiness in this cluster is *visibility*, not the global

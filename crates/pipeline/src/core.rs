@@ -1,17 +1,16 @@
 //! The cycle loop: rename, dispatch, issue, execute, commit — with
 //! dead-instruction elimination.
 
-use std::collections::HashSet;
-
 use dide_analysis::{DeadnessAnalysis, StreamedDeadness, Verdict};
-use dide_emu::{MemAccess, PagedShadow, Trace, TraceStream};
+use dide_emu::{Trace, TraceStream};
 use dide_isa::{Program, Reg};
 use dide_mem::MemoryHierarchy;
 use dide_obs::EventKind;
-use dide_predictor::dead::{CfiDeadPredictor, DeadPredictor, OracleDeadPredictor, PredictInput};
+use dide_predictor::dead::PredictInput;
 use dide_predictor::future::CfSignature;
 
 use crate::config::{EliminationPolicy, PipelineConfig};
+use crate::elim::{Predictor, StoreShadow};
 use crate::frontend::{FetchBlock, Frontend};
 use crate::fu::{FuClass, FuPool};
 use crate::iq::{IqEntry, IssueQueue};
@@ -39,63 +38,6 @@ enum RenameStall {
     IqFull,
     LsqFull,
     NoPhys,
-}
-
-/// Marks `seq` (stored as `seq + 1`; 0 = no owner) as the last store to
-/// claim each byte of `mem` in the core's rename-order shadow table.
-pub(crate) fn claim_store_bytes(shadow: &mut PagedShadow<u64>, seq: u64, mem: MemAccess) {
-    let len = mem.width.bytes();
-    let claimed = seq + 1;
-    if !PagedShadow::<u64>::crosses_page(mem.addr, len) {
-        shadow.span_mut(mem.addr, len).fill(claimed);
-    } else {
-        for byte in mem.bytes() {
-            shadow.set(byte, claimed);
-        }
-    }
-}
-
-/// Scans `mem`'s bytes in access order for the first one whose producing
-/// store sits in `eliminated`; removes that store and reports the hit.
-///
-/// This replicates the producer-table walk it replaced (probing the
-/// analysis' per-load store-producer list, which listed producers in
-/// first-occurrence byte order, against `eliminated` in order): rename
-/// visits instructions in the same program order the analysis' forward
-/// pass did, so the shadow holds the same byte→store map the analysis saw,
-/// and removing an absent seq is a no-op — scanning the bytes in order
-/// (skipping consecutive duplicates) removes exactly the same store, or
-/// none, as the producer-table walk did.
-pub(crate) fn take_eliminated_producer(
-    shadow: &PagedShadow<u64>,
-    eliminated: &mut HashSet<u64>,
-    mem: MemAccess,
-) -> bool {
-    let len = mem.width.bytes();
-    let mut last = 0u64;
-    if !PagedShadow::<u64>::crosses_page(mem.addr, len) {
-        if let Some(cells) = shadow.span(mem.addr, len) {
-            for &cell in cells {
-                if cell != 0 && cell != last {
-                    last = cell;
-                    if eliminated.remove(&(cell - 1)) {
-                        return true;
-                    }
-                }
-            }
-        }
-    } else {
-        for byte in mem.bytes() {
-            let cell = shadow.get(byte);
-            if cell != 0 && cell != last {
-                last = cell;
-                if eliminated.remove(&(cell - 1)) {
-                    return true;
-                }
-            }
-        }
-    }
-    false
 }
 
 impl Core {
@@ -157,20 +99,15 @@ impl Core {
             trace.len(),
             "analysis must come from the same trace"
         );
-        self.run_loop(
-            trace.program(),
-            RecordSource::Slice(trace.records()),
-            analysis.verdicts(),
-            events,
-        )
+        self.run_loop(trace.program(), trace.records(), analysis.verdicts(), events)
     }
 
     /// Simulates a streamed trace to completion: the same cycle loop as
-    /// [`Core::run`], but fetch pulls epochs out of `stream` on demand and
+    /// [`Core::run`], but fetch pulls records out of `stream` on demand and
     /// commit releases them once the ROB has drained past, so peak retained
-    /// trace memory stays bounded by the in-flight window (at most
-    /// ROB + fetch-buffer records, rounded up to whole epochs) regardless
-    /// of trace length.
+    /// trace memory stays one epoch (the stream's ring grows only if the
+    /// in-flight window of ROB + fetch-buffer records outgrows an epoch)
+    /// regardless of trace length.
     ///
     /// `deadness` must come from [`DeadnessAnalysis::analyze_streamed`] on
     /// the same program under the same emulator limits — the analysis pass
@@ -208,8 +145,7 @@ impl Core {
         events: Option<&mut dide_obs::EventTrace>,
     ) -> PipelineStats {
         let program = stream.program();
-        let stats =
-            self.run_loop(program, RecordSource::Stream(stream), deadness.verdicts(), events);
+        let stats = self.run_loop(program, &mut *stream, deadness.verdicts(), events);
         assert_eq!(
             stream.total_len(),
             Some(deadness.len() as u64),
@@ -218,15 +154,16 @@ impl Core {
         stats
     }
 
-    /// The cycle loop, generic over where records come from. `verdicts` is
-    /// always full-length — the analysis pass precedes the pipeline pass
+    /// The cycle loop, generic over where records come from (so each
+    /// source compiles to its own loop with the lookup inlined). `verdicts`
+    /// is always full-length — the analysis pass precedes the pipeline pass
     /// even when the trace itself is streamed — and supplies the trace
     /// length, the oracle predictor's answers, and commit-time training
     /// labels.
-    fn run_loop(
+    fn run_loop<S: RecordSource>(
         &self,
         program: &Program,
-        mut source: RecordSource<'_, '_>,
+        mut source: S,
         verdicts: &[Verdict],
         mut events: Option<&mut dide_obs::EventTrace>,
     ) -> PipelineStats {
@@ -253,18 +190,10 @@ impl Core {
         let mut iq = IssueQueue::new(cfg.iq_entries, cfg.phys_regs);
         let mut lsq = LoadStoreQueues::new(cfg.lq_entries, cfg.sq_entries);
         let mut fus = FuPool::new(cfg.fu);
-        let mut predictor: Box<dyn DeadPredictor> = if cfg.dead.oracle {
-            Box::new(OracleDeadPredictor::from_verdicts(verdicts))
-        } else {
-            Box::new(CfiDeadPredictor::new(cfg.dead.predictor))
-        };
+        let mut predictor = Predictor::new(&cfg.dead, verdicts);
         let mut completions = CompletionQueue::new();
-        let mut eliminated_stores: HashSet<u64> = HashSet::new();
-        // Last store (as `seq + 1`, 0 = none) to claim each byte, written at
-        // rename in program order: the core's own producer tracking for the
-        // eliminated-store violation check, so the streamed path needs no
-        // retained producer table from the analysis.
-        let mut store_shadow: PagedShadow<u64> = PagedShadow::new();
+        // Written at rename in program order (see `StoreShadow`).
+        let mut store_shadow = StoreShadow::default();
         let mut rename_stalled_until = 0u64;
         // Scratch for issue select, reused across cycles.
         let mut ready_scratch: Vec<(u64, u32)> = Vec::new();
@@ -477,10 +406,9 @@ impl Core {
                         // Loads can also trip over eliminated stores. (The
                         // emptiness guard keeps elimination-off runs from
                         // probing the shadow on every load.)
-                        if is_load && !eliminated_stores.is_empty() {
+                        if is_load && store_shadow.has_eliminated() {
                             let mem = r.mem().expect("loads carry an access");
-                            if take_eliminated_producer(&store_shadow, &mut eliminated_stores, mem)
-                            {
+                            if store_shadow.take_eliminated_producer(mem) {
                                 stats.dead_violations += 1;
                                 if let Some(tr) = events.as_deref_mut() {
                                     tr.record(now, EventKind::Violation { seq });
@@ -508,14 +436,13 @@ impl Core {
                             stats.savings.dcache_accesses_saved += 1;
                         }
                         if is_store {
-                            eliminated_stores.insert(seq);
                             // An eliminated store still architecturally
                             // produced its bytes: claim them so later loads
                             // can trip the violation check above.
-                            claim_store_bytes(
-                                &mut store_shadow,
+                            store_shadow.claim_store_bytes(
                                 seq,
                                 r.mem().expect("stores carry an access"),
+                                true,
                             );
                         }
                         if let Some(tr) = events.as_deref_mut() {
@@ -573,7 +500,7 @@ impl Core {
                         let mem = r.mem().expect("stores carry an access");
                         lsq.push_store(seq, mem);
                         if track_stores {
-                            claim_store_bytes(&mut store_shadow, seq, mem);
+                            store_shadow.claim_store_bytes(seq, mem, false);
                         }
                     }
                     iq.push(IqEntry { seq, srcs, fu: pre.fu, is_load, dest: dest_phys }, &regs);
@@ -982,8 +909,8 @@ mod tests {
     #[test]
     fn streamed_run_window_stays_bounded() {
         // With many small epochs the stream must keep only the in-flight
-        // window resident: ROB (128) + fetch buffer (32) records span at
-        // most two 256-record epochs beyond the one being produced.
+        // window resident: ROB (128) + fetch buffer (32) records fit one
+        // 256-record epoch, so the ring never grows past it.
         let p = counted_loop_program(3000);
         let cfg = PipelineConfig::baseline()
             .with_elimination(DeadElimConfig { oracle: true, ..DeadElimConfig::default() });
@@ -993,12 +920,13 @@ mod tests {
         let stats = core.run_streamed(&mut stream, &sd);
         assert_eq!(stats.committed, sd.len() as u64);
         assert!(stats.invariant_violations().is_empty(), "{:?}", stats.invariant_violations());
-        let chunks = stream.total_len().unwrap().div_ceil(256);
-        assert!(chunks > 20, "the trace must span many epochs (got {chunks})");
-        assert!(
-            stream.peak_resident_chunks() <= 4,
-            "peak window {} chunks of {chunks}",
-            stream.peak_resident_chunks()
+        let epochs = stream.total_len().unwrap().div_ceil(256);
+        assert!(epochs > 20, "the trace must span many epochs (got {epochs})");
+        let epoch_bytes = 256 * std::mem::size_of::<dide_emu::DynInst>() as u64;
+        assert_eq!(
+            stream.peak_resident_bytes(),
+            epoch_bytes,
+            "the in-flight window must fit one epoch of {epochs}"
         );
     }
 

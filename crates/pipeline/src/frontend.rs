@@ -54,7 +54,7 @@ pub(crate) enum FetchBlock {
 /// Records come through the [`RecordSource`] the cycle loop owns (passed
 /// into [`Frontend::fetch`] each cycle), so the same frontend serves both
 /// the materialized and the streaming path: on a stream, advancing `pos`
-/// into a new epoch is what pulls that epoch into existence.
+/// past the last produced record is what emulates further records.
 ///
 /// The frontend also records the *predicted* direction of every fetched
 /// conditional branch; those predictions form the CFI signatures consumed
@@ -118,7 +118,7 @@ impl<'t> Frontend<'t> {
     }
 
     /// Whether every instruction has been fetched and drained.
-    pub(crate) fn drained(&self, source: &mut RecordSource<'_, '_>) -> bool {
+    pub(crate) fn drained<S: RecordSource>(&self, source: &mut S) -> bool {
         self.buffer.is_empty() && source.end_reached(self.pos)
     }
 
@@ -160,7 +160,7 @@ impl<'t> Frontend<'t> {
     /// Classifies what [`Frontend::fetch`] would do at cycle `t`, assuming
     /// no intervening frontend activity. The checks replicate `fetch`'s
     /// order (and its stall-counter behavior, documented per variant).
-    pub(crate) fn block_state(&self, t: u64, source: &mut RecordSource<'_, '_>) -> FetchBlock {
+    pub(crate) fn block_state<S: RecordSource>(&self, t: u64, source: &mut S) -> FetchBlock {
         if self.pending_branch.is_some() {
             FetchBlock::Pending
         } else if t < self.stalled_until {
@@ -194,10 +194,10 @@ impl<'t> Frontend<'t> {
     }
 
     /// Fetches up to one group of instructions at cycle `now`.
-    pub(crate) fn fetch(
+    pub(crate) fn fetch<S: RecordSource>(
         &mut self,
         now: u64,
-        source: &mut RecordSource<'_, '_>,
+        source: &mut S,
         hierarchy: &mut MemoryHierarchy,
         stats: &mut PipelineStats,
     ) {
@@ -313,7 +313,7 @@ mod tests {
     #[test]
     fn fetches_in_order_and_drains() {
         let (records, predec, cfg) = setup(3);
-        let mut src = RecordSource::Slice(&records);
+        let mut src = records.as_slice();
         let mut fe = Frontend::new(&cfg, &predec);
         let mut mem = MemoryHierarchy::new(HierarchyConfig::default());
         let mut stats = PipelineStats::default();
@@ -339,7 +339,7 @@ mod tests {
     #[test]
     fn signature_reflects_upcoming_branch_predictions() {
         let (records, predec, cfg) = setup(5);
-        let mut src = RecordSource::Slice(&records);
+        let mut src = records.as_slice();
         let mut fe = Frontend::new(&cfg, &predec);
         let mut mem = MemoryHierarchy::new(HierarchyConfig::default());
         let mut stats = PipelineStats::default();
@@ -358,7 +358,7 @@ mod tests {
     #[test]
     fn mispredict_blocks_fetch_until_resolved() {
         let (records, predec, cfg) = setup(8);
-        let mut src = RecordSource::Slice(&records);
+        let mut src = records.as_slice();
         let mut fe = Frontend::new(&cfg, &predec);
         let mut mem = MemoryHierarchy::new(HierarchyConfig::default());
         let mut stats = PipelineStats::default();
@@ -385,7 +385,7 @@ mod tests {
     #[test]
     fn mispredicts_counted() {
         let (records, predec, cfg) = setup(50);
-        let mut src = RecordSource::Slice(&records);
+        let mut src = records.as_slice();
         let mut fe = Frontend::new(&cfg, &predec);
         let mut mem = MemoryHierarchy::new(HierarchyConfig::default());
         let mut stats = PipelineStats::default();

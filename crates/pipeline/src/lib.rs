@@ -51,6 +51,7 @@
 mod cluster;
 mod config;
 mod core;
+mod elim;
 mod frontend;
 mod fu;
 mod iq;

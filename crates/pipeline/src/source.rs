@@ -2,67 +2,73 @@
 //!
 //! The core is indifferent to where its dynamic records come from: a fully
 //! materialized trace (the classic path) or a bounded sliding window over a
-//! live emulator (the streaming path). `RecordSource` is that seam. Records
-//! are 40-byte `Copy` values, so `get` returns them by value — the stream
-//! variant cannot hand out references into a window it is about to recycle.
+//! live emulator (the streaming path). `RecordSource` is that seam. The
+//! cycle loops and the frontend are generic over it, so each path compiles
+//! to its own loop with the record lookup inlined. Records are 40-byte
+//! `Copy` values, so `get` returns them by value — a stream cannot hand out
+//! references into a ring it is about to overwrite.
 
 use dide_emu::{DynInst, TraceStream};
 
 /// Where the cycle loop reads dynamic instructions from.
-#[derive(Debug)]
-pub(crate) enum RecordSource<'a, 'p> {
-    /// A fully materialized trace: every record resident for the whole run.
-    Slice(&'a [DynInst]),
-    /// A streaming window over a live emulator: fetch pulls epochs into
-    /// existence on demand and [`RecordSource::release_before`] recycles
-    /// them once the ROB has drained past.
-    Stream(&'a mut TraceStream<'p>),
-}
+pub(crate) trait RecordSource {
+    /// The record at `seq`, or `None` once the trace is exhausted. For a
+    /// stream this produces records as needed, so exhaustion is discovered
+    /// exactly when fetch reaches it.
+    fn try_get(&mut self, seq: u64) -> Option<DynInst>;
 
-impl RecordSource<'_, '_> {
+    /// Tells the source no record before `seq` will be read again. A slice
+    /// ignores it; a stream reuses the released ring slots.
+    fn release_before(&mut self, seq: u64);
+
     /// The record with sequence number `seq`.
     ///
     /// # Panics
     ///
     /// Panics if `seq` is past the end of the trace, or (for a stream)
-    /// behind the released window — the core only asks for records between
-    /// the commit head and the fetch position, which the window spans.
-    pub(crate) fn get(&mut self, seq: u64) -> DynInst {
-        match self {
-            RecordSource::Slice(records) => records[seq as usize],
-            RecordSource::Stream(stream) => {
-                stream.get(seq).expect("in-flight seqs are within the trace")
-            }
-        }
-    }
-
-    /// The record at `seq`, or `None` once the trace is exhausted. For a
-    /// stream this produces epochs as needed, so exhaustion is discovered
-    /// exactly when fetch reaches it.
-    pub(crate) fn try_get(&mut self, seq: u64) -> Option<DynInst> {
-        match self {
-            RecordSource::Slice(records) => records.get(seq as usize).copied(),
-            RecordSource::Stream(stream) => stream.get(seq),
-        }
+    /// already released — the core only asks for records between the
+    /// commit head and the fetch position, which the window spans.
+    #[inline]
+    fn get(&mut self, seq: u64) -> DynInst {
+        self.try_get(seq).expect("in-flight seqs are within the trace")
     }
 
     /// Whether `pos` is past the end of the trace (producing up to it for
     /// a stream, exactly like [`RecordSource::try_get`]).
-    pub(crate) fn end_reached(&mut self, pos: u64) -> bool {
-        match self {
-            RecordSource::Slice(records) => pos >= records.len() as u64,
-            RecordSource::Stream(stream) => stream.end_reached(pos),
-        }
+    #[inline]
+    fn end_reached(&mut self, pos: u64) -> bool {
+        self.try_get(pos).is_none()
+    }
+}
+
+/// A fully materialized trace: every record resident for the whole run.
+impl RecordSource for &[DynInst] {
+    #[inline]
+    fn try_get(&mut self, seq: u64) -> Option<DynInst> {
+        <[DynInst]>::get(self, seq as usize).copied()
     }
 
-    /// Tells the source no record before `seq` will be read again. A slice
-    /// ignores it; a stream recycles every epoch that ends at or before
-    /// `seq` into its spare-buffer pool.
-    pub(crate) fn release_before(&mut self, seq: u64) {
-        match self {
-            RecordSource::Slice(_) => {}
-            RecordSource::Stream(stream) => stream.release_before(seq),
-        }
+    #[inline]
+    fn release_before(&mut self, _seq: u64) {}
+
+    #[inline]
+    fn get(&mut self, seq: u64) -> DynInst {
+        self[seq as usize]
+    }
+}
+
+/// A streaming window over a live emulator: fetch pulls records into
+/// existence on demand and commit releases them once the ROB has drained
+/// past.
+impl RecordSource for &mut TraceStream<'_> {
+    #[inline]
+    fn try_get(&mut self, seq: u64) -> Option<DynInst> {
+        TraceStream::get(self, seq)
+    }
+
+    #[inline]
+    fn release_before(&mut self, seq: u64) {
+        TraceStream::release_before(self, seq);
     }
 }
 
@@ -89,18 +95,19 @@ mod tests {
     fn slice_and_stream_agree_record_for_record() {
         let p = program(100);
         let trace = Emulator::new(&p).run().unwrap();
-        let mut slice = RecordSource::Slice(trace.records());
+        let mut slice = trace.records();
         let mut stream_inner = TraceStream::new(&p, 32);
-        let mut stream = RecordSource::Stream(&mut stream_inner);
+        let mut stream = &mut stream_inner;
         for seq in 0..trace.len() as u64 {
-            assert_eq!(slice.try_get(seq), stream.try_get(seq), "seq {seq}");
+            assert_eq!(slice.try_get(seq), RecordSource::try_get(&mut stream, seq), "seq {seq}");
+            assert_eq!(RecordSource::get(&mut slice, seq), RecordSource::get(&mut stream, seq));
             // Release as a commit stage would; later reads stay ahead.
-            stream.release_before(seq);
+            RecordSource::release_before(&mut stream, seq);
             slice.release_before(seq);
         }
         let end = trace.len() as u64;
-        assert!(slice.end_reached(end));
-        assert!(stream.end_reached(end));
-        assert!(!slice.end_reached(end - 1));
+        assert!(RecordSource::end_reached(&mut slice, end));
+        assert!(RecordSource::end_reached(&mut stream, end));
+        assert!(!RecordSource::end_reached(&mut slice, end - 1));
     }
 }

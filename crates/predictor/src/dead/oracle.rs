@@ -1,6 +1,6 @@
 //! Oracle dead predictor for limit studies.
 
-use dide_analysis::{DeadnessAnalysis, Verdict};
+use dide_analysis::DeadnessAnalysis;
 
 use super::{DeadPredictor, PredictInput};
 use crate::budget::StateBudget;
@@ -20,15 +20,9 @@ impl OracleDeadPredictor {
     /// predicted.
     #[must_use]
     pub fn new(analysis: &DeadnessAnalysis) -> OracleDeadPredictor {
-        OracleDeadPredictor::from_verdicts(analysis.verdicts())
-    }
-
-    /// Builds the oracle from a bare verdict vector — what the windowed
-    /// (streaming) analysis hands the pipeline, which retains no
-    /// `DeadnessAnalysis`.
-    #[must_use]
-    pub fn from_verdicts(verdicts: &[Verdict]) -> OracleDeadPredictor {
-        OracleDeadPredictor { dead_by_seq: verdicts.iter().map(|v| v.is_dead()).collect() }
+        OracleDeadPredictor {
+            dead_by_seq: analysis.verdicts().iter().map(|v| v.is_dead()).collect(),
+        }
     }
 }
 

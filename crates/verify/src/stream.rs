@@ -17,12 +17,14 @@
 //!   never consulted, so the streamed cycle loop must produce bit-identical
 //!   statistics to the materialized one at *every* epoch length; with
 //!   oracle elimination the same holds for the single-epoch stream (whose
-//!   verdicts equal the exact oracle's).
+//!   verdicts equal the exact oracle's). The campaign's clustered machine
+//!   (2 clusters, bypass 2, dead steering) is held to the same single-epoch
+//!   identity, since its CFI predictor trains on the verdicts.
 
 use dide_analysis::DeadnessAnalysis;
 use dide_emu::{Trace, TraceStream};
 use dide_isa::Program;
-use dide_pipeline::{Core, DeadElimConfig, PipelineConfig};
+use dide_pipeline::{ClusterConfig, Core, DeadElimConfig, PipelineConfig, SteerPolicy};
 
 /// Epoch lengths swept per seed: degenerate (1), a prime small enough to
 /// straddle every loop body, and the CLI default. A whole-trace epoch is
@@ -172,20 +174,52 @@ fn check_pipeline_equivalence(
     }
     // Multi-epoch oracle elimination: verdicts are conservative, not equal,
     // so only the architectural contract holds — everything commits.
+    check_commits_everything(program, trace, &oracle_core, "oracle-elimination", violations);
+
+    // The clustered loop reads records through the same source seam; its
+    // dead-steering predictor trains on the verdicts, so only the
+    // single-epoch stream must reproduce the materialized run exactly.
+    let clustered_core = Core::new(PipelineConfig::contended().with_cluster(ClusterConfig {
+        clusters: 2,
+        bypass_penalty: 2,
+        steer: SteerPolicy::DeadSteer,
+    }));
+    let clustered = clustered_core.run(trace, analysis);
+    let mut stream = TraceStream::new(program, whole);
+    let streamed = clustered_core.run_streamed(&mut stream, &sd);
+    if streamed != clustered {
+        violations.push(format!(
+            "single-epoch clustered streamed pipeline diverged \
+             ({} vs {} cycles, {} vs {} steered dead)",
+            streamed.cycles, clustered.cycles, streamed.steer.dead, clustered.steer.dead
+        ));
+    }
+    check_commits_everything(program, trace, &clustered_core, "clustered", violations);
+}
+
+/// An epoch-7 streamed run of `core` must commit every record and hold
+/// every pipeline invariant.
+fn check_commits_everything(
+    program: &Program,
+    trace: &Trace,
+    core: &Core,
+    label: &str,
+    violations: &mut Vec<String>,
+) {
     let Ok(sd) = DeadnessAnalysis::analyze_streamed(program, 7) else {
         return;
     };
     let mut stream = TraceStream::new(program, 7);
-    let streamed = oracle_core.run_streamed(&mut stream, &sd);
+    let streamed = core.run_streamed(&mut stream, &sd);
     if streamed.committed != trace.len() as u64 {
         violations.push(format!(
-            "epoch 7: oracle-elimination streamed run committed {} of {}",
+            "epoch 7: {label} streamed run committed {} of {}",
             streamed.committed,
             trace.len()
         ));
     }
     for v in streamed.invariant_violations() {
-        violations.push(format!("epoch 7: oracle-elimination streamed run: {v}"));
+        violations.push(format!("epoch 7: {label} streamed run: {v}"));
     }
 }
 
